@@ -693,7 +693,9 @@ func (b *FaultBatch) Observe() []int {
 // BatchResult is the outcome of replaying one fault batch over a recorded
 // good trajectory. All fields are deterministic (bit-identical for every
 // batching and worker count) except the FaultNS wall-clock figures, and
-// the whole value is JSON-serializable for campaign checkpoints.
+// the whole value is JSON-serializable for campaign checkpoints. Shard
+// jobs ship it in the compact binary encoding of MarshalBinary instead
+// (batchcodec.go).
 type BatchResult struct {
 	// NumFaults is the batch width.
 	NumFaults int `json:"num_faults"`

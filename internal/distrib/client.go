@@ -163,14 +163,17 @@ func (c *coordinator) stream(ctx context.Context, base, jobID string, sh *shardS
 	}
 
 	sc := bufio.NewScanner(resp.Body)
-	// A result line carries the whole BatchResult (records included):
-	// far beyond the scanner's 64KB default.
+	// A result line carries the whole encoded BatchResult (records
+	// included): beyond the scanner's 64KB default.
 	sc.Buffer(make([]byte, 0, 64*1024), 256<<20)
 	sawTerminal := false
 	for sc.Scan() {
 		var l streamLine
 		if err := json.Unmarshal(sc.Bytes(), &l); err != nil {
-			return nil, fmt.Errorf("bad stream line from %s: %w", base, err)
+			// A result line whose batch payload does not decode lands
+			// here too: an execution failure of this job, never a
+			// partial batch.
+			return nil, fmt.Errorf("job %s on %s: bad stream line: %w", jobID, base, err)
 		}
 		switch l.Type {
 		case "snapshot":
@@ -186,6 +189,9 @@ func (c *coordinator) stream(ctx context.Context, base, jobID string, sh *shardS
 		case "result":
 			if l.Result == nil || l.Result.Batch == nil {
 				return nil, fmt.Errorf("job %s on %s: result line without batch payload", jobID, base)
+			}
+			if err := c.checkBatch(l.Result.Batch, sh); err != nil {
+				return nil, fmt.Errorf("job %s on %s: %w", jobID, base, err)
 			}
 			return l.Result.Batch, nil
 		}

@@ -180,6 +180,7 @@ func Run(ctx context.Context, spec server.JobSpec, opts Options) (*campaign.Resu
 	c := &coordinator{
 		opts:      opts,
 		spec:      shardSpec,
+		seq:       wl.Seq,
 		encoded:   encoded,
 		fp:        fp,
 		nf:        nf,
@@ -245,6 +246,7 @@ func Run(ctx context.Context, spec server.JobSpec, opts Options) (*campaign.Resu
 type coordinator struct {
 	opts    Options
 	spec    server.JobSpec
+	seq     *switchsim.Sequence
 	encoded []byte
 	fp      string
 
@@ -397,6 +399,19 @@ func (c *coordinator) slot(ctx context.Context, wi int) {
 			}
 		}
 	}
+}
+
+// checkBatch rejects a decoded batch whose shape does not fit its shard:
+// merging it would drop or misattribute outcomes.
+func (c *coordinator) checkBatch(br *core.BatchResult, sh *shardState) error {
+	n := sh.hi - sh.lo
+	if br.NumFaults != n || len(br.Detected) != n || len(br.Detections) != n ||
+		len(br.Oscillated) != n || len(br.Records) != n ||
+		len(br.PerSetting) != c.seq.NumSettings() || len(br.PerPattern) != len(c.seq.Patterns) {
+		return fmt.Errorf("batch of %d faults, %d settings and %d patterns does not fit shard [%d,%d) of a %d-setting, %d-pattern sequence",
+			br.NumFaults, len(br.PerSetting), len(br.PerPattern), sh.lo, sh.hi, c.seq.NumSettings(), len(c.seq.Patterns))
+	}
+	return nil
 }
 
 // runShard executes one shard on one worker: ensure the recording is

@@ -2,11 +2,17 @@ package distrib_test
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"regexp"
 	"runtime"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -370,5 +376,157 @@ func TestEarlyStopDoubleCancelNoLeak(t *testing.T) {
 				before, after, buf[:runtime.Stack(buf, true)])
 		}
 		time.Sleep(50 * time.Millisecond)
+	}
+}
+
+// mangleWriter rewrites the batch payload of a stream's result line
+// before it reaches the coordinator, as long as the worker's budget of
+// mangled results lasts; every other line passes unchanged. The server
+// writes each NDJSON line in one Write call.
+type mangleWriter struct {
+	http.ResponseWriter
+	mangle func(payload []byte) []byte
+	budget *atomic.Int64
+}
+
+func (m *mangleWriter) Write(p []byte) (int, error) {
+	var line map[string]json.RawMessage
+	if json.Unmarshal(p, &line) != nil || string(line["type"]) != `"result"` ||
+		m.budget.Add(-1) < 0 {
+		return m.ResponseWriter.Write(p)
+	}
+	var res map[string]json.RawMessage
+	var payload []byte
+	if err := json.Unmarshal(line["result"], &res); err != nil {
+		return 0, err
+	}
+	if err := json.Unmarshal(res["batch"], &payload); err != nil {
+		return 0, err
+	}
+	res["batch"], _ = json.Marshal(m.mangle(payload))
+	line["result"], _ = json.Marshal(res)
+	out, _ := json.Marshal(line)
+	if _, err := m.ResponseWriter.Write(append(out, '\n')); err != nil {
+		return 0, err
+	}
+	return len(p), nil
+}
+
+func (m *mangleWriter) Flush() { m.ResponseWriter.(http.Flusher).Flush() }
+
+// newManglingWorker starts a real fmossimd worker whose first n result
+// lines carry a batch payload rewritten by mangle.
+func newManglingWorker(t *testing.T, mangle func([]byte) []byte, n int64) string {
+	t.Helper()
+	mgr := server.NewManager(server.Config{StreamInterval: 2 * time.Millisecond})
+	h := mgr.Handler()
+	budget := new(atomic.Int64)
+	budget.Store(n)
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if strings.HasSuffix(r.URL.Path, "/stream") {
+			w = &mangleWriter{ResponseWriter: w, mangle: mangle, budget: budget}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(func() {
+		ts.Close()
+		mgr.Close()
+	})
+	return ts.URL
+}
+
+// batchManglers damage a shard's batch payload three ways: a foreign
+// magic, a truncation, and a well-formed batch one fault short of its
+// shard.
+var batchManglers = map[string]func([]byte) []byte{
+	"foreign-magic": func(p []byte) []byte {
+		return append([]byte("FMOSREC2"), p[8:]...)
+	},
+	"truncated": func(p []byte) []byte { return p[:len(p)/2] },
+	"short-batch": func(p []byte) []byte {
+		var br core.BatchResult
+		if err := br.UnmarshalBinary(p); err != nil {
+			panic(err)
+		}
+		n := br.NumFaults - 1
+		br.NumFaults = n
+		br.Detected, br.Detections = br.Detected[:n], br.Detections[:n]
+		br.Oscillated, br.Records = br.Oscillated[:n], br.Records[:n]
+		out, _ := br.MarshalBinary()
+		return out
+	},
+}
+
+// TestCorruptBatchPayloadRetried: a worker whose result lines carry a
+// corrupt, foreign or misshapen batch fails each such shard as an
+// execution error naming the worker and the job; the shard is retried
+// and the merged result is still bit-identical to the monolithic
+// baseline. The worker mangles MaxAttempts-1 results, so no shard can
+// exhaust its attempts however the retries are scheduled.
+func TestCorruptBatchPayloadRetried(t *testing.T) {
+	spec := ram256Spec()
+	wl, rec := resolveAndRecord(t, spec)
+	want := monolithic(t, wl, rec, 32)
+	for name, mangle := range batchManglers {
+		t.Run(name, func(t *testing.T) {
+			bad := newManglingWorker(t, mangle, 2)
+			good, _ := newWorkerPool(t, 1, server.Config{})
+			var mu sync.Mutex
+			var failures []string
+			got, err := distrib.Run(context.Background(), spec, distrib.Options{
+				Workers:     []string{bad, good[0]},
+				BatchSize:   32,
+				InFlight:    1,
+				MaxAttempts: 3,
+				Recording:   rec,
+				Logf: func(format string, args ...any) {
+					msg := fmt.Sprintf(format, args...)
+					if strings.Contains(msg, "failed on") {
+						mu.Lock()
+						failures = append(failures, msg)
+						mu.Unlock()
+					}
+				},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			assertIdentical(t, got, want)
+			if len(failures) == 0 {
+				t.Fatal("no shard failed on the mangling worker")
+			}
+			t.Logf("%d shard failures on the mangling worker, e.g. %s", len(failures), failures[0])
+			named := regexp.MustCompile(`failed on ` + regexp.QuoteMeta(bad) +
+				` \(attempt 1\): job job-\d+ on ` + regexp.QuoteMeta(bad) + `: `)
+			for _, msg := range failures {
+				if !named.MatchString(msg) {
+					t.Errorf("failure does not name the worker and the job as an execution error: %s", msg)
+				}
+			}
+		})
+	}
+}
+
+// TestCorruptBatchPayloadExhaustsAttempts: with only a corrupting worker,
+// a shard fails MaxAttempts times and the campaign returns an error
+// naming the worker and the job, with no merged result.
+func TestCorruptBatchPayloadExhaustsAttempts(t *testing.T) {
+	spec := ram256Spec()
+	_, rec := resolveAndRecord(t, spec)
+	bad := newManglingWorker(t, batchManglers["truncated"], math.MaxInt64)
+	got, err := distrib.Run(context.Background(), spec, distrib.Options{
+		Workers:     []string{bad},
+		BatchSize:   32,
+		InFlight:    1,
+		MaxAttempts: 2,
+		Recording:   rec,
+	})
+	if err == nil || got != nil {
+		t.Fatalf("corrupt payloads merged: result %v, err %v", got, err)
+	}
+	named := regexp.MustCompile(`shard \d+ failed 2 times, last on ` + regexp.QuoteMeta(bad) +
+		`: job job-\d+ on ` + regexp.QuoteMeta(bad) + `: .*decoding batch result`)
+	if !named.MatchString(err.Error()) {
+		t.Fatalf("error does not name the attempts, worker and job: %v", err)
 	}
 }

@@ -20,12 +20,18 @@
 // recording_fp, include_batch) on the existing fmossimd job API. Worker
 // slots (InFlight per worker) pull shards from a shared queue, stream
 // each job's NDJSON progress, and return the raw core.BatchResult from
-// the terminal result line.
+// the terminal result line. The batch arrives as the base64 of its
+// binary encoding (magic "FMOSBAT1"; see core.BatchResult.MarshalBinary),
+// whose size follows the shard's activity, and server.Result's
+// UnmarshalJSON decodes it.
 //
 // Failures requeue: a shard whose worker dies mid-stream (connection
 // refused, broken stream, failed job) goes back on the queue with its
 // attempt count incremented and is preferentially picked up by a
 // different worker; a shard exhausting MaxAttempts fails the campaign.
+// A batch payload that does not decode, or whose shape does not fit its
+// shard, is such an execution failure too, named by worker and job; no
+// partial batch is ever merged.
 // Cancelling the context — or reaching CoverageTarget — stops dispatch
 // and propagates DELETE to every outstanding job, cluster-wide.
 //

@@ -26,6 +26,11 @@
 // JobSpec with shard_lo/shard_hi runs exactly one batch of the fault
 // universe against it (core.RunBatch), returning the raw
 // core.BatchResult for setting-granularity merging on the coordinator.
+// The batch travels as the base64 of its compact binary encoding
+// ((*core.BatchResult).MarshalBinary, magic "FMOSBAT1") under the
+// result's "batch" key; Result.MarshalJSON and UnmarshalJSON do the
+// conversion, so coordinator and tests decode it with plain
+// encoding/json.
 // ResolveSpec exposes the spec-resolution path itself, so coordinator
 // and workers provably enumerate the same fault universe from the same
 // spec. The fingerprint contract and the merge-determinism guarantee are

@@ -18,6 +18,14 @@
 // {"type":"detections",...} detection event groups (never coalesced),
 // and a final {"type":"result",...} (or terminal snapshot for
 // failed/cancelled jobs) before the stream closes.
+//
+// A shard job's result (on the stream's result line and on GET
+// /jobs/{id}) carries its core.BatchResult under "batch" as a base64
+// string: the bytes of (*core.BatchResult).MarshalBinary, a versioned
+// binary format that opens with the magic "FMOSBAT1". Its stats rows are
+// sparse, so the payload grows with the shard's activity rather than
+// with the sequence length. Result's MarshalJSON and UnmarshalJSON
+// (job.go) are the only place the encoding happens.
 package server
 
 import (

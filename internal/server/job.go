@@ -5,6 +5,8 @@ package server
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
 	"sync"
 	"time"
 
@@ -95,8 +97,53 @@ type Result struct {
 	PerFault       []PerFault `json:"per_fault,omitempty"`
 	// Batch is a shard job's raw per-batch result (present only when the
 	// spec set include_batch): what a distributed coordinator merges at
-	// setting granularity via campaign.Merge.
+	// setting granularity via campaign.Merge. On the wire it is the
+	// base64 of its core.BatchResult binary encoding (see MarshalJSON).
 	Batch *core.BatchResult `json:"batch,omitempty"`
+}
+
+// MarshalJSON writes the result with Batch, when present, as the base64
+// of (*core.BatchResult).MarshalBinary under the "batch" key: a compact
+// payload whose size follows the batch's activity, where reflective JSON
+// would spell out every stats row of the sequence.
+func (r Result) MarshalJSON() ([]byte, error) {
+	type plain Result
+	w := struct {
+		plain
+		Batch []byte `json:"batch,omitempty"`
+	}{plain: plain(r)}
+	if r.Batch != nil {
+		b, err := r.Batch.MarshalBinary()
+		if err != nil {
+			return nil, err
+		}
+		w.Batch = b
+	}
+	return json.Marshal(w)
+}
+
+// UnmarshalJSON reads a result written by MarshalJSON. A "batch" payload
+// that does not decode fails the whole result: no partial batch is ever
+// returned.
+func (r *Result) UnmarshalJSON(data []byte) error {
+	type plain Result
+	var w struct {
+		*plain
+		Batch []byte `json:"batch"`
+	}
+	w.plain = (*plain)(r)
+	r.Batch = nil
+	if err := json.Unmarshal(data, &w); err != nil {
+		return err
+	}
+	if w.Batch != nil {
+		br := new(core.BatchResult)
+		if err := br.UnmarshalBinary(w.Batch); err != nil {
+			return fmt.Errorf("result batch: %w", err)
+		}
+		r.Batch = br
+	}
+	return nil
 }
 
 // Job is one submitted campaign.

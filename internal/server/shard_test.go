@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"fmossim/internal/core"
+	"fmossim/internal/logic"
+	"fmossim/internal/netlist"
 	"fmossim/internal/server"
 	"fmossim/internal/switchsim"
 )
@@ -199,5 +201,56 @@ func TestShardSpecValidation(t *testing.T) {
 	}
 	if st := waitTerminal(t, ts, snap.ID); st.State != server.StateFailed {
 		t.Fatalf("state %q, want failed", st.State)
+	}
+}
+
+// TestResultBatchWire: a result's batch travels under "batch" as the
+// base64 of its binary encoding, decodes back to the identical value,
+// is omitted when absent, and fails the whole result when it does not
+// decode.
+func TestResultBatchWire(t *testing.T) {
+	br := &core.BatchResult{
+		NumFaults:  1,
+		PerSetting: []core.SettingStats{{Pattern: 0, Setting: 0, ActiveCircuits: 1, FaultNS: 1234}},
+		Detected:   []bool{true},
+		Detections: []core.Detection{{Pattern: 0, Setting: 0, Output: 3, Good: logic.Hi, Faulty: logic.Lo, Hard: true}},
+		Oscillated: []bool{false},
+		Records:    []map[netlist.NodeID]logic.Value{nil},
+	}
+	data, err := json.Marshal(&server.Result{NumFaults: 1, Detected: 1, Batch: br})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var raw struct {
+		Batch []byte `json:"batch"`
+	}
+	if err := json.Unmarshal(data, &raw); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(raw.Batch, []byte("FMOSBAT1")) {
+		t.Fatalf("batch is not the base64 of the binary encoding: %s", data)
+	}
+	var got server.Result
+	if err := json.Unmarshal(data, &got); err != nil {
+		t.Fatal(err)
+	}
+	if got.NumFaults != 1 || got.Detected != 1 || !reflect.DeepEqual(got.Batch, br) {
+		t.Fatalf("round trip: got %+v (batch %+v)", got, got.Batch)
+	}
+
+	plain, err := json.Marshal(server.Result{NumFaults: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(plain, []byte(`"batch"`)) {
+		t.Fatalf("result without a batch carries one: %s", plain)
+	}
+	for _, bad := range []string{`""`, `"Rk1PU1JFQzI="`, `"not base64"`} {
+		res := server.Result{Batch: br}
+		if err := json.Unmarshal([]byte(`{"num_faults":1,"batch":`+bad+`}`), &res); err == nil {
+			t.Errorf("batch %s decoded without error", bad)
+		} else if res.Batch != nil {
+			t.Errorf("batch %s: failed decode left a batch", bad)
+		}
 	}
 }
